@@ -88,10 +88,9 @@ def measure_replay(workloads, modes, core_counts, scale: str) -> dict:
     """Capture -> replay identity per (workload, mode, core count) cell.
 
     The fused engine is compared against the execution-driven capture run
-    (cycles and full energy breakdown); multicore cells additionally
-    cross-check the fused engine against the legacy ``engine="lanes"``
-    executor-driven replay — the acceptance identity matrix of the fused
-    multicore engine.
+    under the same machine — cycles, full energy breakdown and memory stats,
+    plus the per-core results on multicore cells: the acceptance identity
+    matrix of the fused multicore engine.
 
     Returns ``(section, captured)`` where ``captured`` maps hybrid-mode
     ``(workload, cores)`` cells to their ``(executed, trace)`` pair so the
@@ -115,7 +114,13 @@ def measure_replay(workloads, modes, core_counts, scale: str) -> dict:
                 replay_s = time.perf_counter() - t0
                 identical = (replayed.cycles == executed.cycles and
                              replayed.energy.as_dict() ==
-                             executed.energy.as_dict())
+                             executed.energy.as_dict() and
+                             replayed.sim.memory_stats ==
+                             executed.sim.memory_stats)
+                if cores > 1:
+                    identical = identical and (
+                        replayed.sim.core_stats["per_core"] ==
+                        executed.sim.core_stats["per_core"])
                 entry = {
                     "identical": identical,
                     "trace_bytes": len(blob),
@@ -123,13 +128,6 @@ def measure_replay(workloads, modes, core_counts, scale: str) -> dict:
                     "capture_seconds": round(capture_s, 3),
                     "replay_seconds": round(replay_s, 3),
                 }
-                if cores > 1:
-                    lanes = replay_trace(mtrace, machine, engine="lanes")
-                    entry["fused_matches_lanes"] = (
-                        lanes.cycles == replayed.cycles and
-                        lanes.energy.as_dict() == replayed.energy.as_dict() and
-                        lanes.sim.memory_stats == replayed.sim.memory_stats)
-                    identical = identical and entry["fused_matches_lanes"]
                 section["all_identical"] = (section["all_identical"]
                                             and identical)
                 section["identity"][f"{workload}:{mode}x{cores}"] = entry

@@ -252,15 +252,14 @@ def compile_parallel_workload(name: str, mode: str, scale: str,
 def run_parallel_lanes(compiled: Sequence[CompiledKernel], system,
                        machine: MachineConfig, executors,
                        recorders=None) -> SimulationResult:
-    """Drive per-core executors to completion and aggregate the results.
+    """Drive per-core functional executors to completion and aggregate
+    the results (execution-driven multicore runs).
 
-    Shared between execution-driven multicore runs (functional executors)
-    and the ``engine="lanes"`` verification replay (trace executors) so
-    both interleave — and therefore time — identically.  The fused
-    multicore replay engine (:mod:`repro.trace.replay`, the default for
-    replay-kind sweep cells) does not come through here: it steps its own
-    lane state machines under the same scheduling contract via
-    :func:`repro.cpu.multicore.run_resumable_lanes`.
+    The multicore replay engines (:mod:`repro.trace.replay`,
+    :mod:`repro.trace.vector`) do not come through here: they step their
+    own lane state machines under the same scheduling contract via
+    :func:`repro.cpu.multicore.run_resumable_lanes`, so replay and
+    execution interleave — and therefore time — identically.
     """
     config = core_config_for(machine)
     recorders = recorders or [None] * len(executors)

@@ -233,8 +233,9 @@ def degraded(component: str, reason: str, **fields: Any) -> None:
     One call per degradation occurrence: bumps ``degraded.<component>``,
     emits a ``degraded`` event carrying the reason, and warns through the
     shared logger so the fallback is visible even without a recorder.
-    Components currently degrading this way: ``vector`` (C-kernel/prelower
-    failure -> fused engine), ``store.result`` / ``store.artifact``
+    Components currently degrading this way: ``vector`` (no C kernel, or a
+    C-kernel/prelower failure -> fused engine), ``store.result`` /
+    ``store.artifact``
     (consecutive write errors -> memory-only).
     """
     _RECORDER.incr(f"degraded.{component}")

@@ -148,7 +148,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           help="system mode (hybrid/.../cache)")
     p_report.add_argument("--scale", default="small", help="tiny/small/medium")
     p_report.add_argument("--engine", default="vector",
-                          choices=["fused", "vector", "lanes"],
+                          choices=["fused", "vector"],
                           help="replay engine to profile (default vector)")
     p_report.add_argument("--set", dest="overrides", action="append",
                           default=[], metavar="KEY=VALUE",

@@ -5,7 +5,6 @@ Subcommands::
     capture   record the dynamic stream of one (workload, mode, scale) cell
     replay    re-time a captured stream under machine-config overrides
     ls        list the traces held in the store
-    migrate   re-encode old-schema traces at the current schema, in place
     prune     sweep stale/tmp files and evict LRU entries over the caps
 
 Examples::
@@ -14,7 +13,6 @@ Examples::
     python -m repro.trace replay --workload CG --mode hybrid --scale small \\
         --set memory.l2_size=131072 --set core.issue_width=2
     python -m repro.trace ls
-    python -m repro.trace migrate
     python -m repro.trace prune --max-bytes 268435456 --max-age-days 30
 """
 
@@ -29,7 +27,6 @@ from typing import Optional, Sequence
 from repro.harness.config import PTLSIM_CONFIG
 from repro.harness.sweep import _parse_overrides
 from repro.trace import (
-    TRACE_SCHEMA,
     ReplayValidityError,
     TraceError,
     TraceKey,
@@ -58,6 +55,15 @@ def _summary(label: str, result) -> str:
     return (f"{label:<10s} cycles={result.cycles:>12.0f} "
             f"instr={result.instructions:>9d} ipc={result.sim.ipc:>5.2f} "
             f"energy={result.total_energy:>12.0f} nJ")
+
+
+def _same_run(a, b) -> bool:
+    """Cycles, energy breakdown, memory stats and core stats (per-core
+    results included on multicore runs) all equal."""
+    return (a.cycles == b.cycles and
+            a.energy.as_dict() == b.energy.as_dict() and
+            a.sim.memory_stats == b.sim.memory_stats and
+            a.sim.core_stats == b.sim.core_stats)
 
 
 def _cmd_capture(args) -> int:
@@ -133,42 +139,21 @@ def _cmd_replay(args) -> int:
                                 scale=args.scale, machine=machine)
         exec_wall = time.perf_counter() - start
         print(_summary("execute", executed))
-        identical = (executed.cycles == result.cycles and
-                     executed.total_energy == result.total_energy and
-                     executed.sim.memory_stats == result.sim.memory_stats)
+        identical = _same_run(executed, result)
         print(f"verify     execution-driven run took {exec_wall:.2f}s "
               f"({exec_wall / wall:.1f}x replay); "
               f"{'cycle- and energy-identical' if identical else 'MISMATCH'}")
         if not identical:
             return 1
-        # The vectorized engine must agree with fused exactly — the epoch
-        # batching is a pure reformulation of the same timing model.
+        # Both engines answer to execution, the timing truth: the vector
+        # engine must agree with fused (and so with execution) exactly.
         vector = replay_trace(trace, machine, engine="vector")
-        vector_identical = (
-            vector.cycles == result.cycles and
-            vector.total_energy == result.total_energy and
-            vector.sim.memory_stats == result.sim.memory_stats and
-            (not hasattr(trace, "cores") or
-             vector.sim.core_stats["per_core"] ==
-             result.sim.core_stats["per_core"]))
+        vector_identical = (_same_run(vector, result)
+                            and _same_run(vector, executed))
         print(f"verify     vector engine vs fused replay: "
               f"{'identical' if vector_identical else 'MISMATCH'}")
         if not vector_identical:
             return 1
-        if hasattr(trace, "cores"):
-            # Multicore: cross-check the fused engine against the legacy
-            # executor-driven lane replay, per-core results included.
-            lanes = replay_trace(trace, machine, engine="lanes")
-            lanes_identical = (
-                lanes.cycles == result.cycles and
-                lanes.total_energy == result.total_energy and
-                lanes.sim.memory_stats == result.sim.memory_stats and
-                lanes.sim.core_stats["per_core"] ==
-                result.sim.core_stats["per_core"])
-            print(f"verify     fused engine vs lane replay: "
-                  f"{'identical' if lanes_identical else 'MISMATCH'}")
-            if not lanes_identical:
-                return 1
     return 0
 
 
@@ -202,16 +187,6 @@ def _cmd_ls(args) -> int:
           f"{stats['tmp_files']} leaked tmp); "
           f"{stats['artifact_entries']} derived artifact(s), "
           f"{stats['artifact_bytes']} bytes")
-    return 0
-
-
-def _cmd_migrate(args) -> int:
-    from repro.trace import recover_mem_pcs
-    store = TraceStore(args.cache_dir)
-    counts = store.migrate(recover_pcs=recover_mem_pcs)
-    print(f"trace store at {store.root}: migrated {counts['migrated']}, "
-          f"already current {counts['current']}, unreadable "
-          f"{counts['failed']} (schema {TRACE_SCHEMA})")
     return 0
 
 
@@ -264,13 +239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_ls.add_argument("--cache-dir", default=None,
                       help="cache root (default $REPRO_CACHE_DIR or .repro-cache)")
     p_ls.set_defaults(func=_cmd_ls)
-
-    p_migrate = sub.add_parser(
-        "migrate", help="upgrade old-schema traces to the current encoding")
-    p_migrate.add_argument("--cache-dir", default=None,
-                           help="cache root (default $REPRO_CACHE_DIR or "
-                                ".repro-cache)")
-    p_migrate.set_defaults(func=_cmd_migrate)
 
     p_prune = sub.add_parser(
         "prune", help="sweep stale/tmp files and evict LRU entries")

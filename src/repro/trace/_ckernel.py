@@ -8,23 +8,41 @@ that kernel at import-from-use time with the system C compiler and exposes
 it through :mod:`ctypes`; everything degrades gracefully:
 
 * no compiler, a failed compile, or ``REPRO_NO_CKERNEL=1`` in the
-  environment -> :func:`load` returns ``None`` and the engine falls back to
-  the pure-Python loop (bit-identical, just slower);
+  environment -> :func:`load` returns ``None`` and
+  ``replay_trace(engine="vector")`` runs the fused engine instead
+  (bit-identical, just slower);
 * the compiled shared object is cached on disk keyed by the source hash, so
   the one-time compile cost (~1s) is paid once per machine.
 
 Identity is preserved by construction: the C code is a line-for-line
-transcription of ``_VectorLane._loop`` using the same IEEE-754 doubles in
-the same operation order (compiled with ``-ffp-contract=off`` so no FMA
+transcription of the fused engine's issue/retire recurrence
+(``repro.trace.replay._FusedLane._loop``) using the same IEEE-754 doubles
+in the same operation order (compiled with ``-ffp-contract=off`` so no FMA
 contraction reorders rounding), the same truncation (C integer casts equal
 Python ``int()`` for the non-negative times involved), and the same MSHR
-merge/expire/full-stall decisions.  The epoch structure maps onto the
-C/Python boundary: ``vr_run`` executes uncore-free slices entirely in C and
-returns at every *event* instruction (DMA issue, dma-sync, set-bufsize,
-halt, and — multicore — memory misses that arbitrate on the shared uncore);
-the Python caller performs the epoch yield-check and the event's uncore/DMA
-bookkeeping, then re-enters C.  Both sides operate on the same state
-vectors, so interleaving them is seamless.
+merge/expire/full-stall decisions.  Three reshapings keep the math exact:
+
+* the fused ``if t > fetch_time: fetch_time = t`` bump is deferred from the
+  issue estimate to the top of retire.  Nothing reads ``fetch_time`` in
+  between *except* the Python epoch-break check, which must observe the
+  pre-instruction value — the key the scheduler sorts lanes by;
+* the ROB/LSQ deques become fixed rings prefilled with 0.0: before the
+  deque would be full the fused code skips the occupancy check, and
+  ``0.0 > t`` is never true for ``t >= 0``, so the prefilled slots are
+  exact no-ops;
+* ``int(now)`` / ``int(start)`` in retire are replaced by the cycle cursors
+  the scans already hold: ``now`` is either ``ready`` (whose ``int`` was
+  just taken) or ``float(cycle)`` from a scan.
+
+The kernel does no bounds checking of its own; the caller validates every
+index it follows first (``repro.trace.vector._check_kernel_inputs``).
+
+The epoch structure maps onto the C/Python boundary: ``vr_run`` executes
+uncore-free slices entirely in C and returns at every *event* instruction
+(DMA issue, dma-sync, set-bufsize, halt, and — multicore — memory misses
+that arbitrate on the shared uncore); the Python caller performs the epoch
+yield-check and the event's uncore/DMA bookkeeping, then re-enters C.  Both
+sides operate on the same state vectors, so interleaving them is seamless.
 """
 
 from __future__ import annotations
@@ -533,7 +551,7 @@ def load() -> "_Kernel | None":
     """The compiled kernel, or ``None`` (no compiler / disabled / failed).
 
     ``REPRO_NO_CKERNEL=1`` is consulted on every call so tests can flip the
-    pure-Python path on and off within one process; the compile itself is
+    fused fallback on and off within one process; the compile itself is
     attempted at most once per process (and a *failed* compile at most once
     per machine — see the negative marker in :func:`_compile`).
 

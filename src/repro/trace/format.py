@@ -28,10 +28,6 @@ Serialisation is a little-endian binary layout behind a versioned header::
 
     b"RPTR" | u16 schema | u32 header_len | header JSON | sections
 
-Schema 1 (still readable) stores the three columns flat::
-
-    branch bits | mem addresses (u64 array) | dma operands (i64 array)
-
 Schema 2 is columnar: branch bits stay as-is, but memory addresses are
 split into one stream per *static PC* (each load/store instruction emits a
 highly regular address sequence — constant strides mostly — even when the
@@ -46,8 +42,10 @@ stream-id column is periodic in loop-heavy code and all but disappears).
 
 The header JSON is canonical (sorted keys), so the content hash of a trace
 — SHA-256 over the serialised bytes — is deterministic across processes.
-(v1 bytes are also platform-independent; v2 bytes additionally depend on
-the host's zlib build, so compare v2 content hashes within one platform.)
+(The bytes also depend on the host's zlib build, so compare content hashes
+within one platform.)  Traces are a cache: bytes of any other schema —
+including the retired flat schema 1 — are refused with :class:`TraceError`,
+which the store treats as a miss, and get re-captured.
 """
 
 from __future__ import annotations
@@ -66,17 +64,16 @@ try:
 except ImportError:  # pragma: no cover - numpy is a declared dependency
     _np = None
 
-#: Version of the trace format new traces are written with.  Readers accept
-#: every schema in :data:`SUPPORTED_SCHEMAS`; the store keys traces by
-#: (schema, key), so bumping this turns stored traces into permanent misses
-#: that ``migrate`` upgrades in place (or ``prune`` sweeps out).
+#: Version of the trace format new traces are written with.  The store
+#: keys traces by (schema, key), so bumping this turns stored traces into
+#: permanent misses that ``prune`` sweeps out.
 TRACE_SCHEMA = 2
 
 #: Schemas :meth:`Trace.from_bytes` can parse.
-SUPPORTED_SCHEMAS = (1, 2)
+SUPPORTED_SCHEMAS = (2,)
 
-#: Stream-table sentinel for address streams with no recorded static PC
-#: (v1 traces migrated without rebuilding their program).
+#: Stream-table sentinel for an address stream with no recorded static PC
+#: (a trace built without per-access PCs).
 NO_PC = -1
 
 #: File magic of serialised traces.
@@ -389,9 +386,9 @@ class Trace:
 
     ``mem_pcs`` holds the static instruction index of each memory access, in
     the same retirement order as ``mem_addrs``.  It drives the per-PC stream
-    grouping of the v2 encoding and round-trips through it; traces parsed
-    from v1 bytes leave it empty (the v2 writer then falls back to a single
-    unattributed stream, see :data:`NO_PC`).
+    grouping of the encoding and round-trips through it; a trace built
+    without it is written as a single unattributed stream (see
+    :data:`NO_PC`).
     """
 
     key: TraceKey
@@ -448,9 +445,9 @@ class Trace:
         return hashlib.sha256(self.to_bytes()).hexdigest()[:16]
 
     # -- serialisation ------------------------------------------------------------
-    def _header_common(self, schema: int) -> Dict[str, Any]:
+    def _header_common(self) -> Dict[str, Any]:
         return {
-            "schema": schema,
+            "schema": TRACE_SCHEMA,
             "key": self.key.as_dict(),
             "fingerprint": self.program_fingerprint,
             "instructions": self.instructions,
@@ -459,22 +456,8 @@ class Trace:
             "dma_count": len(self.dma_words),
         }
 
-    def to_bytes(self, schema: int = TRACE_SCHEMA) -> bytes:
-        if schema == 1:
-            return self._to_bytes_v1()
-        if schema == 2:
-            return self._to_bytes_v2()
-        raise TraceError(f"cannot write trace schema {schema}")
-
-    def _to_bytes_v1(self) -> bytes:
-        header = json.dumps(self._header_common(1), sort_keys=True,
-                            separators=(",", ":")).encode()
-        parts = [TRACE_MAGIC, struct.pack("<HI", 1, len(header)),
-                 header, self.branch_bits,
-                 _le_bytes(self.mem_addrs), _le_bytes(self.dma_words)]
-        return b"".join(parts)
-
-    def _to_bytes_v2(self) -> bytes:
+    def to_bytes(self) -> bytes:
+        """Serialise at :data:`TRACE_SCHEMA` (see the module docstring)."""
         mem_addrs = self.mem_addrs
         mem_pcs = self.mem_pcs
         if mem_pcs and len(mem_pcs) != len(mem_addrs):
@@ -541,12 +524,12 @@ class Trace:
             sections_meta.append({"id": name, "bytes": len(stored),
                                   "codec": codec})
 
-        header_dict = self._header_common(2)
+        header_dict = self._header_common()
         header_dict["v2"] = {"streams": streams_meta,
                              "sections": sections_meta}
         header = json.dumps(header_dict, sort_keys=True,
                             separators=(",", ":")).encode()
-        parts = [TRACE_MAGIC, struct.pack("<HI", 2, len(header)),
+        parts = [TRACE_MAGIC, struct.pack("<HI", TRACE_SCHEMA, len(header)),
                  header, self.branch_bits]
         parts.extend(sections)
         return b"".join(parts)
@@ -571,12 +554,8 @@ class Trace:
             if len(branch_bits) != nbits:
                 raise TraceError("truncated branch-bit section")
             pos += nbits
-            if schema == 1:
-                mem_addrs, dma_words, mem_pcs, pos = \
-                    cls._payload_from_v1(data, pos, header)
-            else:
-                mem_addrs, dma_words, mem_pcs, pos = \
-                    cls._payload_from_v2(data, pos, header)
+            mem_addrs, dma_words, mem_pcs, pos = \
+                cls._payload_from_v2(data, pos, header)
             if pos != len(data):
                 raise TraceError("truncated or oversized trace payload")
             return cls(
@@ -594,18 +573,6 @@ class Trace:
         except (KeyError, IndexError, ValueError, TypeError, struct.error,
                 OverflowError, UnicodeDecodeError) as exc:
             raise TraceError(f"corrupted trace: {exc}") from exc
-
-    @staticmethod
-    def _payload_from_v1(data: bytes, pos: int, header) -> tuple:
-        mem_count = header["mem_count"]
-        mem_addrs = _le_array("Q", data[pos:pos + 8 * mem_count])
-        pos += 8 * mem_count
-        dma_count = header["dma_count"]
-        dma_words = _le_array("q", data[pos:pos + 8 * dma_count])
-        pos += 8 * dma_count
-        if len(mem_addrs) != mem_count or len(dma_words) != dma_count:
-            raise TraceError("truncated or oversized trace payload")
-        return mem_addrs, dma_words, array("I"), pos
 
     @staticmethod
     def _v2_sections(data: bytes, pos: int, header) -> Tuple[Dict[str, bytes], int]:
@@ -867,18 +834,18 @@ class MulticoreTrace:
             h.update(trace.stream_digest().encode())
         return h.hexdigest()[:16]
 
-    def to_bytes(self, schema: int = TRACE_SCHEMA) -> bytes:
+    def to_bytes(self) -> bytes:
         if self.key.num_cores != len(self.cores):
             raise TraceError(
                 f"multicore trace {self.key.label} holds {len(self.cores)} "
                 f"core streams but its key says {self.key.num_cores}")
-        payloads = [t.to_bytes(schema) for t in self.cores]
+        payloads = [t.to_bytes() for t in self.cores]
         header = json.dumps(
-            {"schema": schema, "key": self.key.as_dict(),
+            {"schema": TRACE_SCHEMA, "key": self.key.as_dict(),
              "sizes": [len(p) for p in payloads]},
             sort_keys=True, separators=(",", ":")).encode()
-        parts = [MULTI_TRACE_MAGIC, struct.pack("<HI", schema, len(header)),
-                 header]
+        parts = [MULTI_TRACE_MAGIC,
+                 struct.pack("<HI", TRACE_SCHEMA, len(header)), header]
         parts.extend(payloads)
         return b"".join(parts)
 

@@ -25,12 +25,13 @@ attribute syncs around each call.  The vector engine splits that work by
 * **Inside an epoch, the scalar lane recurrence remains.**  Issue/retire
   times form a data-dependent recurrence (ROB/LSQ occupancy, register
   readiness, issue-slot and FU reservations), so the in-epoch timing walk
-  stays the fused scalar transcription — but stripped to pure arithmetic:
-  latencies come from the precomputed route codes (``lm``, ``l1``,
-  ``mshr.request(line, now, beyond)``), mispredict redirects from the flag
-  stream, registers from a dense-int remap.  Only two *live* structures
-  remain in the loop: the MSHR file (merge/occupancy depends on real
-  clocks) and, multicore, the shared uncore arbiter.
+  stays the fused scalar transcription — but stripped to pure arithmetic
+  over prelowered columns and run in the C kernel of
+  :mod:`repro.trace._ckernel`: latencies come from the precomputed route
+  codes (``lm``, ``l1``, ``mshr.request(line, now, beyond)``), mispredict
+  redirects from the flag stream, registers from a dense-int remap.  Only
+  two *live* structures remain in the loop: the MSHR file (merge/occupancy
+  depends on real clocks) and, multicore, the shared uncore arbiter.
 
 * **Epochs break only at contention-relevant events.**  Multicore lanes run
   free — whole slices of private work per resume — and yield to the global
@@ -41,9 +42,14 @@ attribute syncs around each call.  The vector engine splits that work by
   order and multicore identity is preserved while lane switches drop from
   every-other-instruction to per-uncore-event.
 
-The result is bit-identical to ``engine="fused"`` (which stays as the
-verification baseline, exactly like ``engine="lanes"`` does for fused):
-same cycles, same phase breakdown, same activity counters, same energy —
+The engine needs the compiled kernel: :func:`repro.trace.replay.replay_trace`
+probes it before any pass and runs the fused engine instead when it is
+missing.  The kernel follows the prelowered columns' indices unchecked, so
+every run bounds-checks them first (:func:`_check_kernel_inputs`); a
+corrupted artifact is recomputed, never executed.
+
+The result is bit-identical to ``engine="fused"`` and to execution: same
+cycles, same phase breakdown, same activity counters, same energy —
 enforced by ``tests/test_vector_replay.py`` over every NAS kernel, both
 system modes and 1/2/4 cores.
 """
@@ -71,16 +77,13 @@ from repro.harness.runner import RunResult
 from repro.harness.systems import build_system, core_config_for
 from repro.mem.cache import CacheStats
 from repro.trace import _ckernel, artifacts
-from repro.trace.format import MulticoreTrace, Trace, TraceError
+from repro.trace.format import MulticoreTrace, Trace
 from repro.trace.replay import (
     _INFINITY,
-    _ZEROS,
     _cached_decode,
-    _cached_parallel_program,
-    _cached_program,
     _check_multicore_trace,
+    _check_trace,
     _l1i_stats,
-    check_replay_machine,
 )
 
 __all__ = ["replay_multicore_vector", "replay_single_vector"]
@@ -95,11 +98,11 @@ _R_LM, _R_GUARD, _R_L1, _R_L2, _R_L3, _R_MEM, _R_COLLAPSED = 0, 1, 2, 3, 4, 5, 6
 # Caps sized so a 4-core sweep over a handful of geometries never thrashes.
 _ORACLE_CACHE: "OrderedDict[tuple, _OracleRoutes]" = OrderedDict()
 _FLAGS_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_VTAB_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_SEQ3_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
+_VTAB_CACHE: "OrderedDict[str, tuple]" = OrderedDict()
+_PRELOWER_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _ORACLE_CAP = 24
 _SMALL_CAP = 16
-_SEQ3_CAP = 12      # seq3 lists are per-point and large; bound them harder
+_PRELOWER_CAP = 12  # column sets are per-point and large; bound them harder
 
 # In-loop opcodes ("vkind"), one per *dynamic occurrence*: the stream builder
 # folds the oracle's route into the opcode, so the timing loop never re-derives
@@ -187,38 +190,54 @@ def _oracle_from_artifact(meta, sections):
         return None
 
 
+def _cached_pass(kind: str, memo: OrderedDict, cap: int, key,
+                 parent_hash, fresh: bool, compute, to_artifact,
+                 from_artifact):
+    """One derivation pass product: memory memo -> disk artifact ->
+    ``compute()``.  ``kind`` names the artifact and the ``vector.<kind>``
+    counters and phase; ``fresh`` skips the memo and the disk, recomputing
+    and overwriting both."""
+    store = artifacts.default_store() if parent_hash else None
+    if not fresh:
+        entry = memo.get(key)
+        if entry is not None:
+            obs.incr(f"vector.{kind}.hit")
+            memo.move_to_end(key)
+            return entry
+        loaded = (store.get(parent_hash, kind, key)
+                  if store is not None else None)
+        entry = from_artifact(*loaded) if loaded is not None else None
+        if entry is not None:
+            obs.incr(f"vector.{kind}.hit")
+            obs.incr(f"vector.{kind}.disk.hit")
+            _memo_put(memo, cap, key, entry)
+            return entry
+    obs.incr(f"vector.{kind}.miss")
+    with obs.phase(f"vector.{kind}"):
+        entry = compute()
+    _memo_put(memo, cap, key, entry)
+    if store is not None:
+        store.put(parent_hash, kind, key, *to_artifact(entry))
+    return entry
+
+
+def _memo_put(memo: OrderedDict, cap: int, key, entry) -> None:
+    """Store (or refresh) ``key`` as most recently used; evict past cap."""
+    memo[key] = entry
+    memo.move_to_end(key)
+    while len(memo) > cap:
+        memo.popitem(last=False)
+
+
 def _cached_oracle(trace: Trace, decoded, cold, mode: str,
                    machine: MachineConfig, multicore: bool,
-                   parent_hash=None) -> _OracleRoutes:
+                   parent_hash=None, fresh: bool = False) -> _OracleRoutes:
     key = (trace.program_fingerprint, trace.stream_digest(),
            _geometry_key(mode, machine, multicore))
-    entry = _ORACLE_CACHE.get(key)
-    if entry is not None:
-        obs.incr("vector.oracle.hit")
-        _ORACLE_CACHE.move_to_end(key)
-        return entry
-    store = artifacts.default_store() if parent_hash else None
-    if store is not None:
-        loaded = store.get(parent_hash, "oracle", key)
-        if loaded is not None:
-            entry = _oracle_from_artifact(loaded[0], loaded[1])
-            if entry is not None:
-                obs.incr("vector.oracle.hit")
-                obs.incr("vector.oracle.disk.hit")
-                _ORACLE_CACHE[key] = entry
-                while len(_ORACLE_CACHE) > _ORACLE_CAP:
-                    _ORACLE_CACHE.popitem(last=False)
-                return entry
-    obs.incr("vector.oracle.miss")
-    with obs.phase("vector.oracle"):
-        entry = _oracle_routes(decoded, cold, mode, machine, multicore)
-    _ORACLE_CACHE[key] = entry
-    while len(_ORACLE_CACHE) > _ORACLE_CAP:
-        _ORACLE_CACHE.popitem(last=False)
-    if store is not None:
-        meta, sections = _oracle_to_artifact(entry)
-        store.put(parent_hash, "oracle", key, meta, sections)
-    return entry
+    return _cached_pass(
+        "oracle", _ORACLE_CACHE, _ORACLE_CAP, key, parent_hash, fresh,
+        lambda: _oracle_routes(decoded, cold, mode, machine, multicore),
+        _oracle_to_artifact, _oracle_from_artifact)
 
 
 def _oracle_routes_scalar(decoded, cold, mode: str, machine: MachineConfig,
@@ -782,36 +801,13 @@ def _flags_from_artifact(meta, sections):
 
 
 def _cached_flags(trace: Trace, decoded, cold, config, hot,
-                  parent_hash=None) -> tuple:
+                  parent_hash=None, fresh: bool = False) -> tuple:
     key = (trace.program_fingerprint, trace.stream_digest(),
            config.predictor_entries, config.btb_entries, config.btb_assoc)
-    entry = _FLAGS_CACHE.get(key)
-    if entry is not None:
-        obs.incr("vector.flags.hit")
-        _FLAGS_CACHE.move_to_end(key)
-        return entry
-    store = artifacts.default_store() if parent_hash else None
-    if store is not None:
-        loaded = store.get(parent_hash, "flags", key)
-        if loaded is not None:
-            entry = _flags_from_artifact(loaded[0], loaded[1])
-            if entry is not None:
-                obs.incr("vector.flags.hit")
-                obs.incr("vector.flags.disk.hit")
-                _FLAGS_CACHE[key] = entry
-                while len(_FLAGS_CACHE) > _SMALL_CAP:
-                    _FLAGS_CACHE.popitem(last=False)
-                return entry
-    obs.incr("vector.flags.miss")
-    with obs.phase("vector.flags"):
-        entry = _branch_flags(decoded, cold, config, hot)
-    _FLAGS_CACHE[key] = entry
-    while len(_FLAGS_CACHE) > _SMALL_CAP:
-        _FLAGS_CACHE.popitem(last=False)
-    if store is not None:
-        meta, sections = _flags_to_artifact(entry)
-        store.put(parent_hash, "flags", key, meta, sections)
-    return entry
+    return _cached_pass(
+        "flags", _FLAGS_CACHE, _SMALL_CAP, key, parent_hash, fresh,
+        lambda: _branch_flags(decoded, cold, config, hot),
+        _flags_to_artifact, _flags_from_artifact)
 
 
 def _branch_flags(decoded, cold, config, hot) -> tuple:
@@ -937,15 +933,25 @@ def _branch_flags_scalar(decoded, cold, config) -> tuple:
     return (bytes(flags), len(events), sum(flags), btb.hits, btb.misses)
 
 
-def _vstream_to_artifact(entry) -> tuple:
-    """Persistable (meta, sections) projection of a prelowered stream.
+#: Bound on any single latency the kernel truncates to a cycle index (far
+#: above every real latency; keeps the C casts defined).
+_MAX_LATENCY = float(1 << 31)
 
-    Only the columnar views, the live-route side channel and the sparse
-    event-payload map are stored — the seq3 tuple list is the same data in
-    row form and is reconstructed on demand (:func:`_seq3_from_cols`) by the
-    pure-Python loop only; the C kernel reads the columns directly.
-    """
-    seq3, lroutes, n_regs, cols, events = entry
+#: Element types of the prelowered columns ``(vk, fu, lat, dst, soff, sid,
+#: phase, unpip)``, as the C kernel reads them.
+_COLUMN_DTYPES = (np.uint8, np.int32, np.float64, np.int32, np.int32,
+                  np.int32, np.int32, np.uint8)
+
+
+class _BadKernelInput(ValueError):
+    """Pass products (oracle, flags or prelowered columns) that would make
+    the C kernel index out of bounds — a corrupted artifact or a bug."""
+
+
+def _vstream_to_artifact(entry) -> tuple:
+    """Persistable (meta, sections) projection of a prelowered stream: the
+    columns, the live-route side channel and the sparse event-payload map."""
+    lroutes, n_regs, cols, events = entry
     vk, fu, lat, dst, soff, sid, phase, unpip = cols
     meta = {"n_regs": n_regs, "n": int(len(vk)),
             "events": [[i, v] for i, v in sorted(events.items())]}
@@ -958,11 +964,10 @@ def _vstream_to_artifact(entry) -> tuple:
 
 
 def _vstream_from_artifact(meta, sections):
-    """Rebuild a vstream entry from its artifact (None if torn).
+    """Rebuild a prelowered entry from its artifact (None if torn).
 
-    The seq3 slot comes back as None: the read-only ``frombuffer`` columns
-    are all the C kernel needs, and the Python fallback loop reconstructs
-    the tuples lazily.
+    Only the section shapes are checked here; the index bounds the kernel
+    relies on are checked by :func:`_check_kernel_inputs` on every run.
     """
     try:
         n = int(meta["n"])
@@ -980,216 +985,196 @@ def _vstream_from_artifact(meta, sections):
             return None
         events = {int(i): v for i, v in meta["events"]}
         cols = (vk, fu, lat, dst, soff, sid, phase, unpip)
-        return (None, sections["lroutes"], int(meta["n_regs"]), cols, events)
+        return (sections["lroutes"], int(meta["n_regs"]), cols, events)
     except (KeyError, TypeError, ValueError, IndexError):
         return None
 
 
-def _seq3_from_cols(cols, events) -> list:
-    """Row-form seq3 tuples from the columnar views (pure-Python loop only).
+def _cached_vstream(trace: Trace, hot, cold, seq_pcs, oracle_routes,
+                    mode: str, machine: MachineConfig, multicore: bool,
+                    lm_lat: float, l1_lat: float, parent_hash=None,
+                    fresh: bool = False) -> tuple:
+    """The prelowered timing stream for one (trace, point) pair.
 
-    Inverse of :func:`_build_cols` given the sparse event-payload map: the
-    latency slot of event ops (vk >= 8) is the DMA tag / drain latency the
-    columns store as 0.0, and ``is_mem`` is exactly ``1 <= vk <= 6`` (plain
-    vkinds are 0, 7 and >= 8).
-    """
-    vk_l = cols[0].tolist()
-    fu_l = cols[1].tolist()
-    lat_l = cols[2].tolist()
-    dst_l = cols[3].tolist()
-    soff_l = cols[4].tolist()
-    sid_l = cols[5].tolist()
-    phase_l = cols[6].tolist()
-    unpip_l = cols[7].tolist()
-    seq3 = []
-    append = seq3.append
-    for i in range(len(vk_l)):
-        k = vk_l[i]
-        append((k, fu_l[i], lat_l[i] if k < 8 else events.get(i),
-                dst_l[i], tuple(sid_l[soff_l[i]:soff_l[i + 1]]),
-                phase_l[i], bool(unpip_l[i]), 1 <= k <= 6))
-    return seq3
-
-
-def _cached_vstream(trace: Trace, hot, cold, seq, oracle_routes, mode: str,
-                    machine: MachineConfig, multicore: bool,
-                    lm_lat: float, l1_lat: float, parent_hash=None) -> tuple:
-    """The fully-prefolded timing stream for one (trace, point) pair.
-
-    Two cache levels: the *vtab* (per-pc vkind variants + dense register
-    remap) depends only on the program and the two static latencies, so every
-    ablation point that keeps ``lm``/``l1`` latencies shares it; the *seq3*
-    stream (one picked variant per retired instruction, plus the compact
-    live-route side channel) additionally depends on the oracle's routing and
-    is shared across points with the same cache geometry.  The prelowered
-    entry is also persisted as an on-disk ``prelower`` artifact, so a warm
-    process skips the vtab/seq3 builds entirely (the disk form carries only
-    the columnar views — see :func:`_vstream_from_artifact`).
+    Two cache levels: the *vtab* (per-pc lowering tables + dense register
+    remap) depends only on the program; the stream columns additionally
+    depend on the oracle's routing and the two static latencies, and are
+    shared across points with the same cache geometry and latencies (and
+    persisted as the ``prelower`` artifact).
     """
     from repro import faults
     faults.check("vector.prelower", key=trace.stream_digest())
     fp = trace.program_fingerprint
-    skey = (fp, trace.stream_digest(),
-            _geometry_key(mode, machine, multicore), lm_lat, l1_lat)
-    entry = _SEQ3_CACHE.get(skey)
-    if entry is not None:
-        obs.incr("vector.prelower.hit")
-        _SEQ3_CACHE.move_to_end(skey)
-        return entry
-    store = artifacts.default_store() if parent_hash else None
-    if store is not None:
-        loaded = store.get(parent_hash, "prelower", skey)
-        if loaded is not None:
-            entry = _vstream_from_artifact(loaded[0], loaded[1])
-            if entry is not None:
-                obs.incr("vector.prelower.hit")
-                obs.incr("vector.prelower.disk.hit")
-                _SEQ3_CACHE[skey] = entry
-                while len(_SEQ3_CACHE) > _SEQ3_CAP:
-                    _SEQ3_CACHE.popitem(last=False)
-                return entry
-    obs.incr("vector.prelower.miss")
-    vkey = (fp, lm_lat, l1_lat)
-    vtab = _VTAB_CACHE.get(vkey)
-    if vtab is None:
-        with obs.phase("vector.prelower"):
-            vtab = _build_vtab(hot, cold, lm_lat, l1_lat)
-        _VTAB_CACHE[vkey] = vtab
-        while len(_VTAB_CACHE) > _SMALL_CAP:
-            _VTAB_CACHE.popitem(last=False)
-    else:
-        _VTAB_CACHE.move_to_end(vkey)
-    plain, memvar, n_regs = vtab
-    with obs.phase("vector.prelower"):
-        seq3, lroutes = _build_seq3(seq, oracle_routes, plain, memvar)
-        events = {i: h[2] for i, h in enumerate(seq3) if h[0] >= 8}
-        entry = (seq3, lroutes, n_regs, _build_cols(seq3), events)
-    _SEQ3_CACHE[skey] = entry
-    while len(_SEQ3_CACHE) > _SEQ3_CAP:
-        _SEQ3_CACHE.popitem(last=False)
-    if store is not None:
-        meta, sections = _vstream_to_artifact(entry)
-        store.put(parent_hash, "prelower", skey, meta, sections)
-    return entry
+    key = (fp, trace.stream_digest(),
+           _geometry_key(mode, machine, multicore), lm_lat, l1_lat)
+
+    def compute():
+        vtab = _VTAB_CACHE.get(fp)
+        if vtab is None:
+            vtab = _build_vtab(hot, cold)
+        _memo_put(_VTAB_CACHE, _SMALL_CAP, fp, vtab)
+        return _build_stream(seq_pcs, oracle_routes, vtab, lm_lat, l1_lat)
+
+    return _cached_pass("prelower", _PRELOWER_CACHE, _PRELOWER_CAP, key,
+                        parent_hash, fresh, compute, _vstream_to_artifact,
+                        _vstream_from_artifact)
 
 
-def _build_vtab(hot, cold, lm_lat: float, l1_lat: float) -> tuple:
-    """Per-pc vkind variants with registers remapped to dense ints.
+def _build_vtab(hot, cold) -> tuple:
+    """Per-pc lowering tables with registers remapped to dense ints.
 
-    Every tuple is ``(vk, fu_index, latency, dst, srcs, phase, unpipelined,
-    is_mem)``.  ``dst`` is -1 for none; a fresh ``[0.0] * n_regs`` readiness
-    list reproduces the fused engine's missing-key-reads-as-0.0 dict exactly.
-    Memory pcs get one variant per static route (LM / L1 / live / collapsed)
-    with the final latency prefolded; DMA/sync pcs carry their transfer *tag*
-    in the latency slot (the loop computes their real latency and never reads
-    the slot as a time).
+    Returns ``(vk, fu, dst, phase, unpip, lat, nsrc, src_start, src_ids,
+    payload, n_regs)``: one array entry per static pc.  ``dst`` is -1 for
+    none; a fresh ``[0.0] * n_regs`` readiness vector reproduces the fused
+    engine's missing-key-reads-as-0.0 dict exactly.  Memory pcs carry vk 1
+    (load) or 2 (store) — :func:`_build_stream` folds the route in.  Event
+    pcs (vk >= 8) carry latency 0.0 in the columns and their payload (the
+    DMA tag of dma-get/put/sync, the static latency of set-bufsize/halt) in
+    ``payload``; sources are CSR rows of ``src_ids``.
     """
+    n_pc = len(hot)
     reg_ids: dict = {}
-    plain = []      # per-pc tuple for non-memory pcs, else None
-    memvar = []     # per-pc (lm, l1, live, collapsed) variants, else None
-    for pc, (kind, fu_index, latency, dst, srcs, phase, unpipelined,
+    vk = np.zeros(n_pc, np.uint8)
+    fu = np.zeros(n_pc, np.int32)
+    dst = np.zeros(n_pc, np.int32)
+    phase = np.zeros(n_pc, np.int32)
+    unpip = np.zeros(n_pc, np.uint8)
+    lat = np.zeros(n_pc, np.float64)
+    nsrc = np.zeros(n_pc, np.int64)
+    src_ids = []
+    payload = {}
+    for pc, (kind, fu_index, latency, reg_dst, srcs, phase_idx, unpipelined,
              _index) in enumerate(hot):
-        dst_i = -1 if dst is None else reg_ids.setdefault(dst, len(reg_ids))
-        srcs_i = tuple(reg_ids.setdefault(s, len(reg_ids)) for s in srcs)
-        if kind == 1:       # load
-            memvar.append((
-                (1, fu_index, lm_lat, dst_i, srcs_i, phase, unpipelined, True),
-                (3, fu_index, l1_lat, dst_i, srcs_i, phase, unpipelined, True),
-                (5, fu_index, 0.0, dst_i, srcs_i, phase, unpipelined, True),
-                None))
-            plain.append(None)
-        elif kind == 2:     # store (collapsed second store is free)
-            memvar.append((
-                (2, fu_index, lm_lat, dst_i, srcs_i, phase, unpipelined, True),
-                (4, fu_index, l1_lat, dst_i, srcs_i, phase, unpipelined, True),
-                (6, fu_index, 0.0, dst_i, srcs_i, phase, unpipelined, True),
-                (2, fu_index, 0.0, dst_i, srcs_i, phase, unpipelined, True)))
-            plain.append(None)
-        else:
-            vk = _VK_BY_KIND[kind]
-            lat = latency
-            if vk == 8 or vk == 9 or vk == 11:
-                lat = cold[pc][1]       # the DMA tag rides in the slot
-            plain.append((vk, fu_index, lat, dst_i, srcs_i, phase,
-                          unpipelined, False))
-            memvar.append(None)
-    return plain, memvar, len(reg_ids)
-
-
-def _build_seq3(seq, routes, plain, memvar) -> tuple:
-    """Pick one vtab variant per retired instruction from the oracle routes.
-
-    Returns ``(seq3, lroutes)``: the stream of prefolded tuples plus the
-    compact route codes (bytes) of the *live* memory ops only, consumed in
-    order by the loop's vk-5/6 dispatch.
-    """
-    seq3 = []
-    append = seq3.append
-    lroutes = bytearray()
-    lappend = lroutes.append
-    mi = 0
-    for h in seq:
-        b = plain[h[7]]
-        if b is not None:
-            append(b)
+        dst[pc] = (-1 if reg_dst is None
+                   else reg_ids.setdefault(reg_dst, len(reg_ids)))
+        src_ids.extend(reg_ids.setdefault(s, len(reg_ids)) for s in srcs)
+        nsrc[pc] = len(srcs)
+        fu[pc] = fu_index
+        phase[pc] = phase_idx
+        unpip[pc] = 1 if unpipelined else 0
+        if kind == 1 or kind == 2:      # load / store: routed per occurrence
+            vk[pc] = kind
             continue
-        r = routes[mi]
-        mi += 1
-        v = memvar[h[7]]
-        if r == _R_LM:
-            append(v[0])
-        elif r == _R_L1:
-            append(v[1])
-        elif r == _R_COLLAPSED:
-            append(v[3])
-        else:
-            append(v[2])
-            lappend(r)
-    return seq3, bytes(lroutes)
+        k = vk[pc] = _VK_BY_KIND[kind]
+        if k < 8:
+            lat[pc] = latency
+        else:   # event op: DMA tag (get/put/sync) or static latency
+            payload[pc] = cold[pc][1] if k in (8, 9, 11) else latency
+    src_start = np.zeros(n_pc, np.int64)
+    np.cumsum(nsrc[:-1], out=src_start[1:])
+    return (vk, fu, dst, phase, unpip, lat, nsrc, src_start,
+            np.asarray(src_ids, np.int32), payload, len(reg_ids))
 
 
-def _build_cols(seq3) -> tuple:
-    """Columnar views of a seq3 stream for the optional C inner loop.
+def _build_stream(seq_pcs, routes, vtab, lm_lat: float,
+                  l1_lat: float) -> tuple:
+    """Lower one retired pc stream into the C kernel's columns.
 
-    One flat array per tuple slot (sources as CSR offsets + ids).  The C
-    kernel never reads the latency slot of event ops (vk >= 8 always bounce
-    to Python, which still holds the tuples), so their tag payload is stored
-    as 0.0.
+    Every retired instruction takes its pc's vtab row; a memory op's vkind
+    and latency come from its oracle route — LM: 1/2 at the LM latency, L1:
+    3/4 at the L1 latency, collapsed store: 2 at 0.0, anything else: live
+    5/6, resolved in the kernel, with the route appended to the compact
+    ``lroutes`` side channel.  Returns ``(lroutes, n_regs, cols, events)``,
+    ``events`` mapping each event op (vk >= 8) to its payload.
     """
-    n = len(seq3)
-    vk = np.empty(n, np.uint8)
-    fu = np.empty(n, np.int32)
-    lat = np.empty(n, np.float64)
-    dst = np.empty(n, np.int32)
-    phase = np.empty(n, np.int32)
-    unpip = np.empty(n, np.uint8)
-    soff = np.empty(n + 1, np.int32)
-    sid_list = []
-    extend = sid_list.extend
-    off = 0
-    for i, h in enumerate(seq3):
-        k = h[0]
-        vk[i] = k
-        fu[i] = h[1]
-        lat[i] = h[2] if k < 8 else 0.0
-        dst[i] = h[3]
-        soff[i] = off
-        srcs = h[4]
-        if srcs:
-            extend(srcs)
-            off += len(srcs)
-        phase[i] = h[5]
-        unpip[i] = 1 if h[6] else 0
-    soff[n] = off
-    sid = np.asarray(sid_list, np.int32) if sid_list else np.zeros(0, np.int32)
-    return (vk, fu, lat, dst, soff, sid, phase, unpip)
+    (pc_vk, pc_fu, pc_dst, pc_phase, pc_unpip, pc_lat, pc_nsrc, pc_start,
+     src_ids, payload, n_regs) = vtab
+    pcs = np.frombuffer(seq_pcs, np.uint32).astype(np.intp)
+    vk = pc_vk[pcs]
+    lat = pc_lat[pcs]
+    mem = np.flatnonzero((vk == 1) | (vk == 2))
+    r = np.frombuffer(routes, np.uint8)
+    if len(r) != len(mem):
+        raise _BadKernelInput(f"{len(r)} oracle routes for {len(mem)} "
+                              "memory ops")
+    is_lm = r == _R_LM
+    is_l1 = r == _R_L1
+    is_collapsed = r == _R_COLLAPSED
+    live = ~(is_lm | is_l1 | is_collapsed)
+    # Loads are odd, stores even: base 1/2, +2 for an L1 hit, +4 for live.
+    mvk = vk[mem] + np.where(is_l1, 2, np.where(live, 4, 0)).astype(np.uint8)
+    mvk[is_collapsed] = 2
+    vk[mem] = mvk
+    mlat = np.zeros(len(mem))
+    mlat[is_lm] = lm_lat
+    mlat[is_l1] = l1_lat
+    lat[mem] = mlat
+    counts = pc_nsrc[pcs]
+    n = len(pcs)
+    soff = np.zeros(n + 1, np.int32)
+    soff[1:] = np.cumsum(counts)
+    first = pc_start[pcs] - soff[:-1]
+    sid = src_ids[np.repeat(first, counts) + np.arange(int(soff[n]))]
+    ev = np.flatnonzero(vk >= 8)
+    events = {i: payload[pc] for i, pc in zip(ev.tolist(), pcs[ev].tolist())}
+    cols = (vk, pc_fu[pcs], lat, pc_dst[pcs], soff, sid, pc_phase[pcs],
+            pc_unpip[pcs])
+    return r[live].tobytes(), n_regs, cols, events
+
+
+def _check_kernel_inputs(vstream, oracle: _OracleRoutes, flags: bytes,
+                         n_fu: int, n_phases: int) -> None:
+    """Bounds-check everything the C kernel indexes with (one numpy pass).
+
+    The kernel follows ``fu``, ``dst``, ``sid``, ``soff``, ``phase``, the
+    live-route cursor into ``miss_lines`` / ``guard_entries`` and the flag
+    cursor with no checks of its own, and the Python event handler follows
+    the DMA cursors; a corrupted artifact must fail here, never there.
+    Raises :class:`_BadKernelInput` naming the first violated bound.
+    """
+    lroutes, n_regs, cols, events = vstream
+    vk, fu, lat, dst, soff, sid, phase, unpip = cols
+    n = len(vk)
+    lr = np.frombuffer(lroutes, np.uint8)
+    dget = np.frombuffer(oracle.dget_entries, np.int32)
+    gent = np.frombuffer(oracle.guard_entries, np.int32)
+    n_dir = oracle.n_dir
+
+    def within(a, lo, hi):
+        return not len(a) or (a.min() >= lo and a.max() < hi)
+
+    # Evaluated in order: later checks may rely on earlier shapes.
+    checks = (
+        ("column dtypes", lambda: all(
+            col.dtype == dtype and col.flags.c_contiguous
+            for col, dtype in zip(cols, _COLUMN_DTYPES))),
+        ("column lengths", lambda: len(fu) == len(lat) == len(dst)
+         == len(phase) == len(unpip) == n and len(soff) == n + 1),
+        ("vk <= 12", lambda: within(vk, 0, 13)),
+        ("fu index", lambda: within(fu, 0, n_fu)),
+        ("dst register", lambda: within(dst, -1, n_regs)),
+        ("source register", lambda: within(sid, 0, n_regs)),
+        ("source offsets", lambda: int(soff[0]) == 0
+         and int(soff[n]) == len(sid) and not (np.diff(soff) < 0).any()),
+        ("phase index", lambda: within(phase, 0, n_phases)),
+        ("latency", lambda: within(lat, 0, _MAX_LATENCY)),
+        ("live routes", lambda: len(lr) == int(((vk == 5) | (vk == 6)).sum())
+         and bool(np.isin(lr, (_R_GUARD, _R_L2, _R_L3, _R_MEM)).all())),
+        ("miss lines", lambda: len(oracle.miss_lines)
+         == int((lr >= _R_L2).sum())),
+        ("guard entries", lambda: len(gent) == int((lr == _R_GUARD).sum())
+         and within(gent, 0, n_dir)),
+        ("dma-get entries", lambda: len(dget) == int((vk == 8).sum())
+         and within(dget, -1, n_dir)),
+        ("dma operands", lambda: len(oracle.dma_nlines)
+         == len(oracle.dma_addrs) == int(((vk == 8) | (vk == 9)).sum())),
+        ("branch flags", lambda: len(flags) == int((vk == 7).sum())),
+        ("event payloads", lambda: sorted(events)
+         == np.flatnonzero(vk >= 8).tolist()),
+        ("halt latency", lambda: all(
+            type(events[i]) in (int, float) and 0 <= events[i] < _MAX_LATENCY
+            for i in np.flatnonzero(vk == 12).tolist())),
+    )
+    for name, ok in checks:
+        if not ok():
+            raise _BadKernelInput(f"vector kernel input out of bounds: {name}")
 
 
 class _VectorLane:
     """One core's vector replay loop as a resumable state machine.
 
-    The issue/retire arithmetic is the same line-by-line fused transcription
-    of ``OutOfOrderTimingModel.issue_estimate`` / ``retire``; memory and
+    The issue/retire arithmetic is the C kernel's transcription of
+    ``OutOfOrderTimingModel.issue_estimate`` / ``retire``; memory and
     branch outcomes come from the precomputed route/flag streams; the only
     live structures are the point system's MSHR file and (multicore) the
     shared uncore.  Lanes yield to the scheduler only immediately before an
@@ -1202,9 +1187,8 @@ class _VectorLane:
 
     def __init__(self, order: int, phase_names, decoded, vstream,
                  trace: Trace, mem, config, oracle: _OracleRoutes, flags,
-                 uncore=None):
+                 kern, uncore=None):
         seq, branches, mem_addrs, dma_words, fu_counts = decoded[:5]
-        seq3, lroutes, n_regs, cols, events = vstream
         self.order = order
         self.trace = trace
         self.config = config
@@ -1221,14 +1205,7 @@ class _VectorLane:
         self.fetch_time = 0.0
         self.done = self._n == 0
         if self._n:
-            kern = _ckernel.load()
-            if kern is not None:
-                self._gen = self._loop_c(lroutes, cols, events, n_regs,
-                                         uncore, kern)
-            else:
-                if seq3 is None:    # prelower artifact: columns only
-                    seq3 = _seq3_from_cols(cols, events)
-                self._gen = self._loop(seq3, lroutes, n_regs, uncore)
+            self._gen = self._loop_c(vstream, uncore, kern)
             next(self._gen)     # run the loop's setup to the first yield
         else:   # defensive: programs always retire at least a HALT
             self._gen = None
@@ -1245,368 +1222,18 @@ class _VectorLane:
         except StopIteration:
             self.done = True
 
-    def _loop(self, seq3, lroutes, n_regs, uncore):
-        """The vector per-instruction loop, as a generator.
+    def _loop_c(self, vstream, uncore, kern):
+        """The vector loop around the compiled inner kernel, as a generator.
 
-        Same resume protocol as the fused lane: every ``send`` delivers the
-        next ``(limit, limit_order)`` key; the final scalar state is packed
-        into ``_state`` for :meth:`finish`.
-
-        Identity notes on the three deviations from the fused shape:
-
-        * The fused engine's ``if t > fetch_time: fetch_time = t`` bump is
-          deferred from the issue estimate to the top of retire.  Nothing
-          reads ``fetch_time`` in between *except* the epoch-break checks,
-          which must observe the pre-instruction value — the key the fused
-          scheduler sorts lanes by when it parks a lane between instructions.
-        * The ROB/LSQ deques become fixed rings prefilled with 0.0: before
-          the deque would be full the fused code skips the occupancy check,
-          and ``0.0 > t`` is never true for ``t >= 0``, so the prefilled
-          slots are exact no-ops.
-        * ``int(now)`` / ``int(start)`` in retire are replaced by the cycle
-          cursors the scans already hold: ``now`` is either ``ready`` (whose
-          ``int`` was just taken) or ``float(cycle)`` from a scan, so the
-          truncations are always available as ints.
-        """
-        config = self.config
-        mem = self._mem
-        my_order = self.order
-        oracle = self._oracle
-
-        # -- precomputed streams --
-        miss_lines = oracle.miss_lines
-        guard_entries = oracle.guard_entries
-        dma_nlines = oracle.dma_nlines
-        dget_entries = oracle.dget_entries
-        flags = self._flags[0]
-
-        # -- cached config / live-structure bindings --
-        issue_width = config.issue_width
-        inv_fetch = 1.0 / config.fetch_width
-        mispredict_penalty = config.mispredict_penalty
-        timing = self.timing
-        fu_capacity = timing.fus._capacity
-        rob_size = timing.rob.size
-        inv_commit = 1.0 / timing.rob.commit_width
-        lsq_size = timing.lsq.size
-        phase_acc = self._phase_acc
-        c = mem.hierarchy.config
-        l1_lat = float(c.l1_latency)
-        b_l2 = float(c.l2_latency)
-        b_l3 = float(c.l2_latency + c.l3_latency)
-        b_mem = float(c.l2_latency + c.l3_latency + c.memory_latency)
-        mshr_request = mem.hierarchy.mshr.request
-        use_lm = mem.use_lm
-        if use_lm:
-            lm_lat = float(mem.lm.latency)
-            dma_setup = mem.dmac.setup_latency
-            dma_per_line = mem.dmac.per_line_latency
-        else:
-            lm_lat = 0.0
-            dma_setup = dma_per_line = 0
-        pause = uncore is not None
-        uncore_acquire = uncore.acquire if pause else None
-        # Clustered uncore: the per-core port carries the hierarchical
-        # demand path (cluster bus + NUMA + home LLC slice) and the homed
-        # DMA path.  None on the flat bus — the pre-cluster arithmetic below
-        # then runs unchanged.
-        mem_path = getattr(uncore, "mem_path", None) if pause else None
-        dma_path = getattr(uncore, "dma_path", None) if pause else None
-        dma_addrs = oracle.dma_addrs
-
-        # -- lane-local replicas of the clock-dependent structures --
-        # Directory presence bits/ready times (guarded-hit stalls) and the
-        # DMA controller's outstanding-transfer map (dma-sync waits): both
-        # are per-core and depend on real clocks, so the loop carries them as
-        # plain locals — exact transcriptions of CoherenceDirectory.lookup's
-        # stall/latch and DMAController timing.
-        n_dir = oracle.n_dir
-        present = [True] * n_dir
-        ready_t = [0.0] * n_dir
-        outstanding: dict = {}
-
-        # -- per-cycle reservation state, flat (same trick as fused) --
-        issue_slots = [0] * 8192
-        fu_tables = [[0] * 8192 for _ in fu_capacity]
-
-        # -- dense register readiness --
-        reg_ready = [0.0] * n_regs
-
-        # -- ROB/LSQ occupancy as rings (see the identity notes above) --
-        rob_ring = [0.0] * rob_size
-        rp = 0
-        lsq_ring = [0.0] * lsq_size
-        lp = 0
-
-        # -- scalar timing state --
-        fetch_time = 0.0
-        last_commit = 0.0
-        rob_bw = 0.0
-        rob_stalls = 0.0
-        lsq_stalls = 0.0
-        contended = 0.0
-        total_lat = mem.total_mem_latency   # == 0.0 on a fresh system
-        hier_lat = 0.0
-        presence_stalls = 0
-
-        li = gi = ni = gei = fi = ri = 0
-        # Rare-event accounting (uncore-relevant events only), reported once
-        # to the recorder after the loop.
-        ev_mem_miss = ev_dma = ev_dsync = 0
-        limit, limit_order = yield
-
-        for h in seq3:
-            (vk, fu_index, latency, dst, srcs, phase, unpipelined,
-             is_mem) = h
-
-            # ---- issue estimate (fused transcription) ----
-            t = fetch_time
-            oldest = rob_ring[rp]
-            if oldest > t:
-                rob_stalls += oldest - t
-                t = oldest
-            if is_mem:
-                oldest = lsq_ring[lp]
-                if oldest > t:
-                    lsq_stalls += oldest - t
-                    t = oldest
-            ready = t
-            for src in srcs:
-                r = reg_ready[src]
-                if r > ready:
-                    ready = r
-            cycle = int(ready)
-            try:
-                if issue_slots[cycle] < issue_width:
-                    now = ready
-                else:
-                    while True:
-                        cycle += 1
-                        try:
-                            if issue_slots[cycle] < issue_width:
-                                break
-                        except IndexError:
-                            while cycle >= len(issue_slots):
-                                issue_slots.extend(_ZEROS)
-                            break
-                    now = float(cycle)
-            except IndexError:
-                while cycle >= len(issue_slots):
-                    issue_slots.extend(_ZEROS)
-                now = ready
-
-            # ---- execute: latency prefolded or resolved live ----
-            if is_mem:
-                if vk <= 4:         # static route: LM or L1 hit
-                    total_lat += latency
-                    if vk >= 3:
-                        hier_lat += latency
-                else:               # vk 5/6: live load/store
-                    r = lroutes[ri]
-                    ri += 1
-                    if r == 3:      # L2 hit through the MSHR file
-                        line = miss_lines[li]
-                        li += 1
-                        latency = l1_lat + mshr_request(line, now, b_l2)
-                        total_lat += latency
-                        hier_lat += latency
-                    elif r == 5:    # memory (uncore-arbitrated, multicore)
-                        # Epoch break: yield before touching the shared
-                        # arbiter once another lane's front end is earlier
-                        # (strictly, or equal with a lower core id).
-                        ev_mem_miss += 1
-                        line = miss_lines[li]
-                        li += 1
-                        if pause:
-                            if fetch_time > limit or (
-                                    fetch_time == limit
-                                    and my_order > limit_order):
-                                self.fetch_time = fetch_time
-                                limit, limit_order = yield
-                            if mem_path is not None:
-                                beyond = b_l3 + mem_path(now, line)
-                            else:
-                                beyond = b_mem + uncore_acquire(now, 1)
-                        else:
-                            beyond = b_mem
-                        latency = l1_lat + mshr_request(line, now, beyond)
-                        total_lat += latency
-                        hier_lat += latency
-                    elif r == 4:    # L3 hit through the MSHR file
-                        line = miss_lines[li]
-                        li += 1
-                        latency = l1_lat + mshr_request(line, now, b_l3)
-                        total_lat += latency
-                        hier_lat += latency
-                    else:           # r == 1: guarded dir hit (presence stall)
-                        e = guard_entries[gi]
-                        gi += 1
-                        stall = 0.0
-                        rt = ready_t[e]
-                        if not present[e] and now < rt:
-                            stall = rt - now
-                            presence_stalls += 1
-                        if now >= rt:
-                            present[e] = True
-                        latency = lm_lat + stall
-                        total_lat += latency
-            elif vk >= 8:
-                if vk <= 9:         # dma-get / dma-put issue
-                    ev_dma += 1
-                    if pause:       # epoch break, as for route-5 misses
-                        if fetch_time > limit or (
-                                fetch_time == limit
-                                and my_order > limit_order):
-                            self.fetch_time = fetch_time
-                            limit, limit_order = yield
-                        nlines = dma_nlines[ni]
-                        if dma_path is not None:
-                            queue = dma_path(now, nlines, dma_addrs[ni])
-                        else:
-                            queue = uncore_acquire(now, nlines)
-                    else:
-                        nlines = dma_nlines[ni]
-                        queue = 0.0
-                    ni += 1
-                    completion_d = now + queue + float(
-                        dma_setup + nlines * dma_per_line)
-                    tag = latency   # the DMA tag rides in the latency slot
-                    lst = outstanding.get(tag)
-                    if lst is None:
-                        outstanding[tag] = [completion_d]
-                    else:
-                        lst.append(completion_d)
-                    if vk == 8:
-                        e = dget_entries[gei]
-                        gei += 1
-                        if e >= 0:
-                            present[e] = False
-                            ready_t[e] = completion_d
-                    latency = 1.0
-                elif vk == 11:      # dma-sync (DMAController.dma_sync)
-                    ev_dsync += 1
-                    tag = latency
-                    if tag is None:
-                        pending = [x for lst in outstanding.values()
-                                   for x in lst]
-                    else:
-                        lst = outstanding.get(tag)
-                        pending = lst if lst else None
-                    if pending:
-                        finish_t = max(pending)
-                        wait_until = finish_t if finish_t > now else now
-                        for k in list(outstanding):
-                            kept = [x for x in outstanding[k]
-                                    if x > wait_until]
-                            if kept:
-                                outstanding[k] = kept
-                            else:
-                                del outstanding[k]
-                        stall = finish_t - now
-                        latency = 1.0 + stall if stall > 0.0 else 1.0
-                    else:
-                        latency = 1.0
-                elif vk == 10:      # set-bufsize
-                    latency = 1.0
-                # vk == 12 (halt): static latency stands
-
-            # ---- retire (fused transcription; the occupancy bump of the
-            # issue estimate lands here, past the epoch checks) ----
-            if t > fetch_time:
-                fetch_time = t
-            capacity = fu_capacity[fu_index]
-            table = fu_tables[fu_index]
-            try:
-                if table[cycle] < capacity:
-                    start = now
-                else:
-                    while True:
-                        cycle += 1
-                        try:
-                            if table[cycle] < capacity:
-                                break
-                        except IndexError:
-                            while cycle >= len(table):
-                                table.extend(_ZEROS)
-                            break
-                    start = float(cycle)
-                    contended += start - now
-            except IndexError:
-                while cycle >= len(table):
-                    table.extend(_ZEROS)
-                start = now
-            if unpipelined:
-                occupancy = int(latency)
-                if occupancy < 1:
-                    occupancy = 1
-                end = cycle + occupancy
-                while end > len(table):
-                    table.extend(_ZEROS)
-                for ci in range(cycle, end):
-                    table[ci] += 1
-            else:
-                table[cycle] += 1
-            try:
-                issue_slots[cycle] += 1
-            except IndexError:
-                while cycle >= len(issue_slots):
-                    issue_slots.extend(_ZEROS)
-                issue_slots[cycle] += 1
-            completion = start + latency
-            if dst >= 0:
-                reg_ready[dst] = completion
-            if is_mem:
-                lsq_ring[lp] = completion
-                lp += 1
-                if lp == lsq_size:
-                    lp = 0
-                if vk & 1:          # load
-                    commit_completion = completion
-                else:               # store: 2-cycle commit cap
-                    commit_completion = start + (latency if latency < 2.0
-                                                 else 2.0)
-            else:
-                commit_completion = completion
-                if vk == 7:         # branch: consume the mispredict flag
-                    if flags[fi]:
-                        fetch_time = completion + mispredict_penalty
-                    fi += 1
-            fetch_time = fetch_time + inv_fetch
-            if vk >= 11 and completion > fetch_time:
-                fetch_time = completion    # dsync/halt drain the front end
-            rob_bw = rob_bw + inv_commit
-            if commit_completion > rob_bw:
-                rob_bw = commit_completion
-            rob_ring[rp] = rob_bw
-            rp += 1
-            if rp == rob_size:
-                rp = 0
-            phase_acc[phase] += rob_bw - last_commit
-            last_commit = rob_bw
-
-        rec = obs.get_recorder()
-        if rec.enabled:
-            rec.incr("vector.python.mem_miss", ev_mem_miss)
-            rec.incr("vector.python.dma", ev_dma)
-            rec.incr("vector.python.dma_sync", ev_dsync)
-
-        self.fetch_time = fetch_time
-        self._state = (fetch_time, last_commit, rob_bw, rob_stalls,
-                       lsq_stalls, contended, total_lat, hier_lat,
-                       presence_stalls)
-
-    def _loop_c(self, lroutes, cols, events, n_regs, uncore, kern):
-        """The vector loop with the compiled inner kernel.
-
-        Same resume protocol and identical results as :meth:`_loop` (the C
-        code is a transcription of the same recurrence — see
-        :mod:`repro.trace._ckernel`).  ``vr_run`` executes entire epochs of
-        uncore-free instructions; this generator handles only the *event*
-        instructions it stops at — the epoch yield-check, DMA/uncore/dsync
-        bookkeeping (which stays in Python, on the same shared state vectors)
-        and the re-entry.  It reads only the columnar views plus the sparse
-        ``events`` payload map (DMA tags, halt latency), so a prelower
-        artifact hit never materializes the row-form seq3 tuples.
+        Every ``send`` delivers the next ``(limit, limit_order)`` key; the
+        final scalar state is packed into ``_state`` for :meth:`finish`.
+        ``vr_run`` executes entire epochs of uncore-free instructions (see
+        :mod:`repro.trace._ckernel`); this generator handles only the
+        *event* instructions it stops at — the epoch yield-check,
+        DMA/uncore/dsync bookkeeping (which stays in Python, on the same
+        shared state vectors) and the re-entry.  Before the kernel context
+        is created, :func:`_check_kernel_inputs` bounds-checks every index
+        the kernel will follow (raising :class:`_BadKernelInput`).
         """
         config = self.config
         mem = self._mem
@@ -1614,6 +1241,9 @@ class _VectorLane:
         oracle = self._oracle
         timing = self.timing
         fu_capacity = timing.fus._capacity
+        lroutes, n_regs, cols, events = vstream
+        _check_kernel_inputs(vstream, oracle, self._flags[0],
+                             len(fu_capacity), len(self._phase_names))
 
         c = mem.hierarchy.config
         l1_lat = float(c.l1_latency)
@@ -1629,7 +1259,8 @@ class _VectorLane:
             dma_setup = dma_per_line = 0
         pause = uncore is not None
         uncore_acquire = uncore.acquire if pause else None
-        # Clustered per-core port (see _loop): hierarchical demand/DMA paths,
+        # Clustered uncore: the per-core port carries the hierarchical demand
+        # path (cluster bus + NUMA + home LLC slice) and the homed DMA path,
         # None on the flat bus.  Both run in the Python bounce handler — the
         # C kernel already bounces every uncore-relevant instruction.
         mem_path = getattr(uncore, "mem_path", None) if pause else None
@@ -1904,50 +1535,67 @@ def _apply_shared(memory, bus, patches, uncore=None) -> None:
     bus.bytes_transferred = sum(p["bus_bytes"] for p in patches)
 
 
-def replay_single_vector(trace: Trace, machine: MachineConfig,
-                         timeline=None) -> RunResult:
-    """Single-core vector replay — bit-identical to the fused engine."""
-    check_replay_machine(trace.key, machine)
-    program, compiled, hot, cold, fu_values, phase_names, fingerprint = \
-        _cached_program(trace.key)
-    if fingerprint != trace.program_fingerprint:
-        raise TraceError(
-            f"trace {trace.key.label} is stale: program fingerprint "
-            f"{trace.program_fingerprint} != rebuilt {fingerprint} "
-            "(the compiler or workload changed since capture)")
-    parent_hash = trace.key.key_hash
+def _vector_lane(order: int, entry, trace: Trace, mode: str,
+                 machine: MachineConfig, multicore: bool, parent_hash: str,
+                 mem, config, kern, uncore=None) -> _VectorLane:
+    """One core's :class:`_VectorLane`, built from its cached pass products.
+
+    Products that fail the kernel-boundary check (a corrupted on-disk
+    artifact) count as corrupted and are recomputed once, overwriting their
+    memo and disk entries; unchecked products never reach the C kernel.
+    """
+    program, comp, hot, cold, fu_values, phase_names, _ = entry
     decoded = _cached_decode(trace, hot, cold, fu_values,
                              parent_hash=parent_hash)
-    config = core_config_for(machine)
+    lm_lat = float(mem.lm.latency) if mem.use_lm else 0.0
+    l1_lat = float(mem.hierarchy.config.l1_latency)
+    for fresh in (False, True):
+        oracle = _cached_oracle(trace, decoded, cold, mode, machine,
+                                multicore, parent_hash, fresh)
+        flags = _cached_flags(trace, decoded, cold, config, hot,
+                              parent_hash, fresh)
+        try:
+            vstream = _cached_vstream(trace, hot, cold, decoded[5],
+                                      oracle.routes, mode, machine, multicore,
+                                      lm_lat, l1_lat, parent_hash, fresh)
+            return _VectorLane(order, phase_names, decoded, vstream, trace,
+                               mem, config, oracle, flags, kern, uncore)
+        except _BadKernelInput as exc:
+            if fresh:       # freshly computed and still out of bounds: a bug
+                raise
+            obs.incr("vector.artifact.corrupted")
+            store = artifacts.default_store()
+            if store is not None:
+                store.corrupted += 1
+            obs.get_logger().warning("recomputing vector pass products of "
+                                     "%s: %s", trace.key.label, exc)
+
+
+def replay_single_vector(trace: Trace, machine: MachineConfig, kern,
+                         timeline=None) -> RunResult:
+    """Single-core vector replay — bit-identical to the fused engine."""
+    entry = _check_trace(trace, machine)
     mode = trace.key.mode
-    oracle = _cached_oracle(trace, decoded, cold, mode, machine, False,
-                            parent_hash=parent_hash)
-    flags = _cached_flags(trace, decoded, cold, config, hot,
-                          parent_hash=parent_hash)
     system = build_system(mode, machine)
-    lm_lat = float(system.lm.latency) if system.use_lm else 0.0
-    l1_lat = float(system.hierarchy.config.l1_latency)
-    vstream = _cached_vstream(trace, hot, cold, decoded[0], oracle.routes,
-                              mode, machine, False, lm_lat, l1_lat,
-                              parent_hash=parent_hash)
-    lane = _VectorLane(0, phase_names, decoded, vstream, trace,
-                       system, config, oracle, flags)
+    lane = _vector_lane(0, entry, trace, mode, machine, False,
+                        trace.key.key_hash, system, core_config_for(machine),
+                        kern)
     with obs.phase("vector.timing"):
         lane.run_until(_INFINITY, 0)
         timing = lane.finish()
     if timeline is not None:
         timeline.lane_span(0, 0.0, lane.fetch_time)
     _apply_shared(system.hierarchy.memory, system.hierarchy.bus,
-                  [oracle.patch])
+                  [lane._oracle.patch])
     sim = lane_result(CoreLane(None, timing), system.stats_summary())
     energy = EnergyModel(machine.energy).compute(sim)
     return RunResult(workload=trace.key.workload, mode=mode,
-                     compiled=compiled, sim=sim, energy=energy,
+                     compiled=entry[1], sim=sim, energy=energy,
                      system=system, scale=trace.key.scale)
 
 
 def replay_multicore_vector(mtrace: MulticoreTrace,
-                            machine: MachineConfig,
+                            machine: MachineConfig, kern,
                             timeline=None) -> RunResult:
     """Multicore vector replay: one :class:`_VectorLane` per core under the
     shared uncore, interleaved by the same min-fetch-time scheduler as the
@@ -1956,45 +1604,23 @@ def replay_multicore_vector(mtrace: MulticoreTrace,
     from repro.harness.systems import build_multicore_system
 
     key = mtrace.key
-    num_cores = _check_multicore_trace(mtrace, machine)
-    entries = _cached_parallel_program(key, machine)
-    for core_id, (entry, trace) in enumerate(zip(entries, mtrace.cores)):
-        if entry[6] != trace.program_fingerprint:
-            raise TraceError(
-                f"multicore trace {key.label} is stale: core {core_id} "
-                f"program fingerprint {trace.program_fingerprint} != rebuilt "
-                f"{entry[6]} (the compiler or workload changed since "
-                "capture)")
+    num_cores, entries = _check_multicore_trace(mtrace, machine)
     system = build_multicore_system(key.mode, machine, num_cores=num_cores)
     if timeline is not None:
         system.uncore.timeline = timeline
     config = core_config_for(machine)
-    lanes = []
-    patches = []
-    for core_id, (entry, trace) in enumerate(zip(entries, mtrace.cores)):
-        program, comp, hot, cold, fu_values, phase_names, fingerprint = entry
-        # Per-core streams have no stored file of their own: artifacts hang
-        # off the multicore *family* hash (the key every core shares).
-        decoded = _cached_decode(trace, hot, cold, fu_values,
-                                 parent_hash=key.key_hash)
-        oracle = _cached_oracle(trace, decoded, cold, key.mode, machine, True,
-                                parent_hash=key.key_hash)
-        flags = _cached_flags(trace, decoded, cold, config, hot,
-                              parent_hash=key.key_hash)
-        mem = system.core(core_id)
-        lm_lat = float(mem.lm.latency) if mem.use_lm else 0.0
-        l1_lat = float(mem.hierarchy.config.l1_latency)
-        vstream = _cached_vstream(trace, hot, cold, decoded[0], oracle.routes,
-                                  key.mode, machine, True, lm_lat, l1_lat,
-                                  parent_hash=key.key_hash)
-        lanes.append(_VectorLane(core_id, phase_names, decoded, vstream,
-                                 trace, mem, config, oracle,
-                                 flags, uncore=system.uncore.port(core_id)))
-        patches.append(oracle.patch)
+    # Per-core streams have no stored file of their own: artifacts hang off
+    # the multicore *family* hash (the key every core shares).
+    lanes = [_vector_lane(core_id, entry, trace, key.mode, machine, True,
+                          key.key_hash, system.core(core_id), config, kern,
+                          uncore=system.uncore.port(core_id))
+             for core_id, (entry, trace)
+             in enumerate(zip(entries, mtrace.cores))]
     with obs.phase("vector.timing"):
         run_resumable_lanes(lanes, timeline=timeline)
         timings = [lane.finish() for lane in lanes]
-    _apply_shared(system.uncore.memory, system.uncore.bus, patches,
+    _apply_shared(system.uncore.memory, system.uncore.bus,
+                  [lane._oracle.patch for lane in lanes],
                   uncore=system.uncore)
     per_core = [lane_result(CoreLane(None, timing),
                             system.core(core_id).stats_summary())

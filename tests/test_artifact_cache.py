@@ -9,7 +9,9 @@ Three families:
   patch — over every route kind (LM / guarded / L1 / L2 / L3 / MEM /
   collapsed / DMA get / DMA put), randomized cache geometries included.
   Same for :func:`~repro.trace.vector._branch_flags` against
-  :func:`~repro.trace.vector._branch_flags_scalar`.
+  :func:`~repro.trace.vector._branch_flags_scalar`, and for the vectorized
+  prelowering :func:`~repro.trace.vector._build_stream` against a
+  per-instruction loop.
 
 * **Warm replay is pass-free.**  A vector replay in a fresh "process"
   (cleared in-memory memo caches) against a warm artifact store must
@@ -20,8 +22,9 @@ Three families:
   processes regardless of ``PYTHONHASHSEED``; torn/stale files read as
   misses and are removed; reads refresh atime for LRU pruning;
   :meth:`TraceStore.prune` sweeps orphaned and stale-schema artifacts and
-  evicts artifacts with their parent trace; ``REPRO_NO_ARTIFACTS=1``
-  disables the tier entirely.
+  evicts artifacts with their parent trace; artifacts that would send the
+  C kernel out of bounds are caught at its boundary and recomputed;
+  ``REPRO_NO_ARTIFACTS=1`` disables the tier entirely.
 """
 
 import dataclasses
@@ -31,6 +34,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -61,7 +65,7 @@ def _clear_memo_caches():
     vector_mod._ORACLE_CACHE.clear()
     vector_mod._FLAGS_CACHE.clear()
     vector_mod._VTAB_CACHE.clear()
-    vector_mod._SEQ3_CACHE.clear()
+    vector_mod._PRELOWER_CACHE.clear()
     replay_mod._DECODE_CACHE.clear()
 
 
@@ -228,6 +232,79 @@ def test_batched_flags_match_scalar_randomized(fresh_cache):
             assert batched == scalar
 
 
+# ------------------------------------------- prelowered columns == loop
+def _reference_stream(hot, cold, seq_pcs, routes, lm_lat, l1_lat):
+    """Per-instruction loop reference for :func:`vector._build_stream`:
+    one row per retired instruction, each memory op's vkind and latency
+    picked from its route, sources appended in CSR order."""
+    reg_ids = {}
+    rows = []
+    for kind, fu_index, latency, dst, srcs, phase, unpip, _ in hot:
+        dst_i = -1 if dst is None else reg_ids.setdefault(dst, len(reg_ids))
+        srcs_i = [reg_ids.setdefault(s, len(reg_ids)) for s in srcs]
+        rows.append((kind, fu_index, latency, dst_i, srcs_i, phase,
+                     1 if unpip else 0))
+    cols = [[] for _ in range(8)]   # vk fu lat dst soff sid phase unpip
+    lroutes = bytearray()
+    events = {}
+    mi = 0
+    for i, pc in enumerate(seq_pcs):
+        kind, fu_index, latency, dst_i, srcs_i, phase, unpip = rows[pc]
+        if kind in (1, 2):
+            r = routes[mi]
+            mi += 1
+            if r == _R._R_LM:
+                vk, lat = kind, lm_lat
+            elif r == _R._R_L1:
+                vk, lat = kind + 2, l1_lat
+            elif r == _R._R_COLLAPSED:
+                vk, lat = 2, 0.0
+            else:
+                vk, lat = kind + 4, 0.0
+                lroutes.append(r)
+        else:
+            vk, lat = _R._VK_BY_KIND[kind], latency
+            if vk >= 8:
+                events[i] = cold[pc][1] if vk in (8, 9, 11) else latency
+                lat = 0.0
+        cols[4].append(len(cols[5]))
+        cols[5].extend(srcs_i)
+        for slot, value in ((0, vk), (1, fu_index), (2, lat), (3, dst_i),
+                            (6, phase), (7, unpip)):
+            cols[slot].append(value)
+    cols[4].append(len(cols[5]))
+    arrays = tuple(np.asarray(col, dtype)
+                   for col, dtype in zip(cols, _R._COLUMN_DTYPES))
+    return bytes(lroutes), len(reg_ids), arrays, events
+
+
+@pytest.mark.parametrize("mode", ["hybrid", "cache"])
+def test_prelowered_columns_match_loop_reference(mode, fresh_cache):
+    """The vectorized column builder must equal the per-instruction loop,
+    byte for byte, on real oracle routes and on randomized ones that reach
+    every route kind (LM / guarded / L1 / L2 / L3 / MEM / collapsed)."""
+    rng = random.Random(20261018)
+    machine = _machine(1)
+    for workload in ("CG", "IS", "MG"):
+        _, trace = capture_workload(workload, mode, "tiny", machine=machine)
+        decoded, cold, hot = _decoded_for(trace)
+        seq_pcs = decoded[5]
+        real = vector_mod._oracle_routes(decoded, cold, mode, machine, False)
+        kinds = [hot[pc][0] for pc in seq_pcs if hot[pc][0] in (1, 2)]
+        randomized = bytes(rng.choice([0, 1, 2, 3, 4, 5] +
+                                      ([6] if kind == 2 else []))
+                           for kind in kinds)
+        for routes in (real.routes, randomized):
+            got = vector_mod._build_stream(
+                seq_pcs, routes, vector_mod._build_vtab(hot, cold), 3.0, 2.0)
+            want = _reference_stream(hot, cold, seq_pcs, routes, 3.0, 2.0)
+            assert got[0] == want[0] and got[1] == want[1]
+            for got_col, want_col in zip(got[2], want[2]):
+                assert got_col.dtype == want_col.dtype
+                assert got_col.tobytes() == want_col.tobytes()
+            assert got[3] == want[3]
+
+
 # ----------------------------------------------------- warm replay path
 def test_warm_vector_replay_is_pass_free(fresh_cache):
     """Cold replay persists one artifact per (pass, core); a fresh-process
@@ -272,6 +349,61 @@ def test_warm_replay_identity_clustered(fresh_cache):
     assert warm.total_energy == fused.total_energy
     assert warm.sim.memory_stats == fused.sim.memory_stats
     assert warm.sim.core_stats["per_core"] == fused.sim.core_stats["per_core"]
+
+
+# ------------------------------------------- C-kernel boundary validation
+@pytest.mark.parametrize("kind,section", [("prelower", "dst"),
+                                          ("oracle", "miss_lines")])
+def test_out_of_bounds_artifact_is_recomputed(fresh_cache, kind, section):
+    """Artifacts that parse cleanly but would send the C kernel out of
+    bounds — a prelowered ``dst`` far past the register file, an oracle
+    ``miss_lines`` section one entry short of its L2/L3/memory routes — are
+    caught at the kernel boundary, counted as corrupted and recomputed: no
+    crash, no fallback, and the same numbers as fused and execution."""
+    from repro.trace import _ckernel
+    if _ckernel.load() is None:
+        pytest.skip("no C kernel on this machine")
+    machine = _machine(2)
+    executed, mtrace = capture_workload("CG", "hybrid", "tiny",
+                                        machine=machine)
+    fused = replay_trace(mtrace, machine)
+    replay_trace(mtrace, machine, engine="vector")      # cold: writes
+    paths = sorted(fresh_cache.glob(f"traces/artifacts/*/{kind}-*.art"))
+    assert len(paths) == 2                              # one per core
+    for path in paths:
+        stored_kind, meta, sections = decode_artifact(path.read_bytes())
+        blob = bytearray(sections[section])
+        if section == "dst":
+            struct.pack_into("<i", blob, 0, 1 << 20)
+        else:
+            assert len(blob) >= 8
+            del blob[-8:]
+        sections[section] = bytes(blob)
+        path.write_bytes(encode_artifact(stored_kind, meta,
+                                         list(sections.items())))
+
+    _clear_memo_caches()
+    store = artifacts.default_store()
+    corrupted_before = store.corrupted
+    with obs.recording() as rec:
+        again = replay_trace(mtrace, machine, engine="vector")
+    assert rec.counters.get("vector.artifact.corrupted") == 2
+    assert store.corrupted == corrupted_before + 2
+    assert "degraded.vector" not in rec.counters
+    assert rec.counters.get("vector.ckernel.epochs", 0) > 0
+    for reference in (fused, executed):
+        assert again.cycles == reference.cycles
+        assert again.energy.as_dict() == reference.energy.as_dict()
+        assert again.sim.memory_stats == reference.sim.memory_stats
+        assert again.sim.core_stats["per_core"] == \
+            reference.sim.core_stats["per_core"]
+
+    # The recomputed products overwrote the bad files on disk.
+    _clear_memo_caches()
+    with obs.recording() as rec:
+        replay_trace(mtrace, machine, engine="vector")
+    assert "vector.artifact.corrupted" not in rec.counters
+    assert rec.counters.get(f"vector.{kind}.disk.hit") == 2
 
 
 # ----------------------------------------------- cross-process determinism

@@ -1,10 +1,11 @@
 """Tests for the vectorized epoch-batched replay engine.
 
 ``replay_trace(..., engine="vector")`` pre-lowers each trace into columnar
-arrays and executes uncore-free epochs inside a C kernel (with a pure-Python
-fallback selected by ``REPRO_NO_CKERNEL``).  Both paths must be bit-identical
-to the fused engine — cycles, full energy breakdown, phase cycles, memory
-stats and per-core results — at the capture config and under re-timing.
+arrays and executes uncore-free epochs inside a C kernel; without the kernel
+(no compiler, or ``REPRO_NO_CKERNEL``) it runs the fused engine instead.
+The engine must be bit-identical to the fused engine and to execution —
+cycles, full energy breakdown, phase cycles, memory stats and per-core
+results — at the capture config and under re-timing.
 
 The engine leans on the batched structure updates (cache ``access_batch``,
 prefetcher ``train_batch``, predictor ``update_batch``) and on the shared
@@ -88,19 +89,22 @@ def test_vector_retime_under_ablation_overrides():
 
 
 def test_vector_python_fallback_identical(monkeypatch):
-    """With ``REPRO_NO_CKERNEL`` set the engine must silently take the
-    pure-Python epoch loop and still be bit-identical — environments with no
-    C compiler get the same numbers, just slower."""
+    """Environments with no C kernel (``REPRO_NO_CKERNEL`` set, or no
+    compiler) run a vector request on the fused engine: the same numbers,
+    one counted ``degraded.vector``, and no vector pass paid for first."""
+    from repro import obs
     from repro.trace import _ckernel
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
     fused = replay_trace(mtrace, machine, engine="fused")
-    with_kernel = replay_trace(mtrace, machine, engine="vector")
     monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     assert _ckernel.load() is None
-    fallback = replay_trace(mtrace, machine, engine="vector")
+    with obs.recording() as rec:
+        fallback = replay_trace(mtrace, machine, engine="vector")
     _assert_same_run(fallback, fused)
-    _assert_same_run(fallback, with_kernel)
+    assert rec.counters["degraded.vector"] == 1
+    vector_counters = [k for k in rec.counters if k.startswith("vector.")]
+    assert not vector_counters, vector_counters
 
 
 def test_ckernel_negative_compile_cache(monkeypatch, tmp_path):
